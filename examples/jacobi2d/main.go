@@ -4,19 +4,22 @@
 // tile exchanges halo rows/columns with its four neighbours by
 // asynchronous entry methods, applies the 5-point Jacobi update, and
 // contributes its residual to a max-reduction; the mainchare stops when
-// converged. Halfway through, the measurement-based GreedyLB rebalances
-// the tiles across PEs.
+// converged. Halfway through, at a reduction boundary, the lb manager runs
+// GreedyLB over the tile loads its meter measured and migrates tiles
+// across PEs as packed checkpoint blobs.
 //
 // Run: go run ./examples/jacobi2d
 package main
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"time"
 
 	"blueq/internal/charm"
 	"blueq/internal/converse"
+	"blueq/internal/lb"
 )
 
 const (
@@ -27,12 +30,36 @@ const (
 )
 
 type tile struct {
-	x, y   int
-	cur    [][]float64 // (tileN+2)² with halo
-	next   [][]float64
-	halos  int
-	iter   int
-	workNS int64
+	x, y  int
+	cur   [][]float64 // (tileN+2)² with halo
+	next  [][]float64
+	halos int
+	iter  int
+}
+
+// PackCheckpoint encodes cur with its halo cells, the halo count and the
+// iteration: a tile can migrate after some of the next iteration's halos
+// have already landed. next is scratch; the factory rebuilds it.
+func (t *tile) PackCheckpoint() []byte {
+	b := make([]byte, 0, 8*((tileN+2)*(tileN+2)+2))
+	for _, row := range t.cur {
+		for _, v := range row {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+	}
+	b = binary.LittleEndian.AppendUint64(b, uint64(t.halos))
+	return binary.LittleEndian.AppendUint64(b, uint64(t.iter))
+}
+
+func (t *tile) UnpackCheckpoint(b []byte) {
+	for _, row := range t.cur {
+		for j := range row {
+			row[j] = math.Float64frombits(binary.LittleEndian.Uint64(b))
+			b = b[8:]
+		}
+	}
+	t.halos = int(binary.LittleEndian.Uint64(b))
+	t.iter = int(binary.LittleEndian.Uint64(b[8:]))
 }
 
 type haloMsg struct {
@@ -67,6 +94,8 @@ func main() {
 		}
 		return t
 	})
+	mgr := lb.Attach(rt, lb.Config{Strategy: lb.Greedy{}})
+	mgr.Manage(tiles, -1) // the reduction callback resumes the tiles
 
 	idxOf := func(x, y int) int { return y*tilesX + x }
 	var eHalo, eStart int
@@ -102,9 +131,7 @@ func main() {
 		}
 	}
 
-	var relax func(pe *converse.PE, t *tile, idx int)
-	relax = func(pe *converse.PE, t *tile, idx int) {
-		start := time.Now()
+	relax := func(pe *converse.PE, t *tile) {
 		var local float64
 		for i := 1; i <= tileN; i++ {
 			for j := 1; j <= tileN; j++ {
@@ -116,24 +143,19 @@ func main() {
 			}
 		}
 		t.cur, t.next = t.next, t.cur
-		t.workNS += time.Since(start).Nanoseconds()
 		t.iter++
-		tiles.AddLoad(idx, float64(time.Since(start).Nanoseconds()))
-		err := tiles.Contribute(pe, uint64(t.iter), []float64{local}, charm.ReduceMax,
+		iter := t.iter
+		err := tiles.Contribute(pe, uint64(iter), []float64{local}, charm.ReduceMax,
 			func(pe *converse.PE, res []float64) {
-				iter := t.iter
 				if res[0] < tolerance || iter >= maxIters {
 					fmt.Printf("stopped after %d iterations, residual %.2e\n", iter, res[0])
 					rt.Shutdown()
 					return
 				}
 				if iter == maxIters/2 {
-					r, err := tiles.Rebalance(charm.GreedyLB)
-					if err != nil {
-						panic(err)
-					}
-					fmt.Printf("iter %d: GreedyLB migrated %d tiles (max/avg load %.2f)\n",
-						iter, r.Migrations, r.MaxLoad/r.AvgLoad)
+					r := mgr.RunCentral(pe)
+					fmt.Printf("iter %d: GreedyLB moved %d tiles (max/avg load %.2f)\n",
+						iter, r.Moves, r.MaxLoad/r.AvgLoad)
 				}
 				if err := tiles.Broadcast(pe, eStart, nil, 8); err != nil {
 					panic(err)
@@ -144,16 +166,16 @@ func main() {
 		}
 	}
 
-	eStart = tiles.Entry(func(pe *converse.PE, el charm.Element, idx int, payload any) {
+	eStart = tiles.Entry(func(pe *converse.PE, el charm.Element, _ int, payload any) {
 		sendHalos(pe, el.(*tile))
 		t := el.(*tile)
 		if t.halos == 4 { // all-boundary tile or halos arrived early
 			t.halos = 0
-			relax(pe, t, idx)
+			relax(pe, t)
 		}
 	})
 
-	eHalo = tiles.Entry(func(pe *converse.PE, el charm.Element, idx int, payload any) {
+	eHalo = tiles.Entry(func(pe *converse.PE, el charm.Element, _ int, payload any) {
 		t := el.(*tile)
 		h := payload.(*haloMsg)
 		for k := 1; k <= tileN; k++ {
@@ -171,7 +193,7 @@ func main() {
 		t.halos++
 		if t.halos == 4 {
 			t.halos = 0
-			relax(pe, t, idx)
+			relax(pe, t)
 		}
 	})
 

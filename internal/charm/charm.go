@@ -231,10 +231,6 @@ type Array struct {
 	// from deliver (internal/lb's live load measurement). Set before Run.
 	meter LoadMeter
 
-	// per-element execution time in arbitrary units, for the load balancer.
-	loadMu sync.Mutex
-	load   []float64
-
 	red reductionState
 }
 
@@ -266,7 +262,6 @@ func (rt *Runtime) NewArrayPlaced(name string, n int, factory func(idx int) Elem
 		inc:     make([]uint32, n),
 		transit: make([]bool, n),
 		pending: make(map[int][]pendingMsg),
-		load:    make([]float64, n),
 	}
 	npes := rt.machine.NumPEs()
 	for i := 0; i < n; i++ {
@@ -441,14 +436,6 @@ func (a *Array) SetLoadMeter(m LoadMeter) {
 		panic("charm: SetLoadMeter after Run")
 	}
 	a.meter = m
-}
-
-// AddLoad records measured work (arbitrary units, e.g. seconds) for element
-// idx, feeding the measurement-based load balancer.
-func (a *Array) AddLoad(idx int, amount float64) {
-	a.loadMu.Lock()
-	a.load[idx] += amount
-	a.loadMu.Unlock()
 }
 
 // ---------------------------------------------------------------------------

@@ -36,6 +36,9 @@ func TestMigrateElementMovesStateExactlyOnce(t *testing.T) {
 		func(rt *Runtime) {
 			a = rt.NewArray("mig", 4, func(idx int) Element { return &counterElem{} })
 			eHit = a.Entry(func(pe *converse.PE, elem Element, idx int, payload any) {
+				if pe.Id() != a.HomePE(idx) {
+					t.Errorf("entry for %d ran on PE %d, home %d", idx, pe.Id(), a.HomePE(idx))
+				}
 				elem.(*counterElem).sum += uint64(payload.(int))
 				if executed.Add(1) == hits {
 					pe.Machine().Shutdown()
@@ -72,6 +75,62 @@ func TestMigrateElementMovesStateExactlyOnce(t *testing.T) {
 	for idx := 1; idx < 4; idx++ {
 		if a.Element(idx).(*counterElem).sum != 0 {
 			t.Fatalf("element %d executed messages addressed to element 0", idx)
+		}
+	}
+}
+
+// After every element moves, messages still reach each element exactly once
+// and run on its new home (forwarding covers stragglers sent to the old one).
+func TestSendsAfterMigration(t *testing.T) {
+	const n = 8
+	var a *Array
+	var ePing, eMove int
+	var pings, executed atomic.Int64
+	dests := make([]int, n)
+	runRT(t, smallCfg(2, 2, converse.ModeSMP),
+		func(rt *Runtime) {
+			a = rt.NewArray("mig", n, func(idx int) Element { return &counterElem{} })
+			ePing = a.Entry(func(pe *converse.PE, elem Element, idx int, payload any) {
+				if pe.Id() != a.HomePE(idx) {
+					t.Errorf("entry for %d ran on PE %d, home %d", idx, pe.Id(), a.HomePE(idx))
+				}
+				elem.(*counterElem).sum++
+				pings.Add(1)
+				if executed.Add(1) == 2*n {
+					pe.Machine().Shutdown()
+				}
+			})
+			eMove = a.Entry(func(pe *converse.PE, elem Element, idx int, payload any) {
+				if err := a.MigrateElement(pe, idx, payload.(int)); err != nil {
+					t.Errorf("migrate: %v", err)
+				}
+				if executed.Add(1) == 2*n {
+					pe.Machine().Shutdown()
+				}
+			})
+		},
+		func(pe *converse.PE) {
+			for i := 0; i < n; i++ {
+				dests[i] = (a.HomePE(i) + 1) % pe.NumPEs()
+				if err := a.Send(pe, i, eMove, dests[i], 8); err != nil {
+					t.Errorf("send move: %v", err)
+				}
+			}
+			for i := 0; i < n; i++ {
+				if err := a.Send(pe, i, ePing, nil, 8); err != nil {
+					t.Errorf("send ping: %v", err)
+				}
+			}
+		})
+	if pings.Load() != n {
+		t.Fatalf("delivered %d, want %d", pings.Load(), n)
+	}
+	for i := 0; i < n; i++ {
+		if got := a.Element(i).(*counterElem).sum; got != 1 {
+			t.Fatalf("element %d executed %d pings, want 1", i, got)
+		}
+		if home := a.HomePE(i); home != dests[i] {
+			t.Fatalf("element %d homed on PE %d after migration to %d", i, home, dests[i])
 		}
 	}
 }

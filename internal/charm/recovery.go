@@ -87,7 +87,8 @@ func (a *Array) resetReductions() {
 // loads the saved state, and the home table re-registers the index. The
 // element value is published before the home entry under the same lock
 // HomePE readers take, so no message can route to an element that is not
-// yet in place. Like Rebalance, it must run while the array is quiescent.
+// yet in place. It must run while the array is quiescent, i.e. after
+// BeginRecovery has fenced off every in-flight message.
 func (a *Array) RestoreElement(idx, newHome int, blob []byte) error {
 	if idx < 0 || idx >= a.n {
 		return fmt.Errorf("charm: array %q restore index %d out of range [0,%d)", a.name, idx, a.n)

@@ -1,17 +1,14 @@
 package lb
 
 import (
-	"fmt"
-
-	"blueq/internal/charm"
+	"container/heap"
+	"sort"
 )
 
-// Strategy plans a new element-to-PE map from measured loads. The two
-// centralized Charm++ strategies reuse charm's placement algorithms; the
-// diffusion mode is not a Strategy — it never sees global state, which is
-// the point.
+// Strategy plans a new element-to-PE map from measured loads. Greedy and
+// Refine are the two centralized Charm++ strategies; the diffusion mode is
+// not a Strategy — it never sees global state, which is the point.
 type Strategy interface {
-	Name() string
 	// Plan returns the new home for every element given its measured
 	// load and current home. Implementations must be deterministic: the
 	// bitwise-identity guarantees of E19 rest on it.
@@ -22,30 +19,116 @@ type Strategy interface {
 // ignoring current placement (maximum balance, maximum migration).
 type Greedy struct{}
 
-func (Greedy) Name() string { return "greedy" }
-
 func (Greedy) Plan(loads []float64, _ []int32, npes int) []int32 {
-	return charm.GreedyPlacement(loads, npes)
+	order := make([]int, len(loads))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(x, y int) bool { return loads[order[x]] > loads[order[y]] })
+	h := make(peLoadHeap, npes)
+	for p := 0; p < npes; p++ {
+		h[p] = peLoad{pe: p}
+	}
+	heap.Init(&h)
+	home := make([]int32, len(loads))
+	for _, idx := range order {
+		best := heap.Pop(&h).(peLoad)
+		home[idx] = int32(best.pe)
+		best.load += loads[idx]
+		heap.Push(&h, best)
+	}
+	return home
 }
 
-// Refine is Charm++'s RefineLB: move as few elements as possible off
-// overloaded PEs until every PE is within tolerance.
+// peLoad is a heap entry for greedy assignment.
+type peLoad struct {
+	pe   int
+	load float64
+}
+type peLoadHeap []peLoad
+
+func (h peLoadHeap) Len() int           { return len(h) }
+func (h peLoadHeap) Less(i, j int) bool { return h[i].load < h[j].load }
+func (h peLoadHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *peLoadHeap) Push(x any)        { *h = append(*h, x.(peLoad)) }
+func (h *peLoadHeap) Pop() any {
+	old := *h
+	n := len(old)
+	v := old[n-1]
+	*h = old[:n-1]
+	return v
+}
+
+// Refine is Charm++'s RefineLB: keep the existing map, then move the
+// lightest suitable elements off the most loaded PEs until every PE is
+// within 5% of average (or no move helps) — as few migrations as possible.
 type Refine struct{}
 
-func (Refine) Name() string { return "refine" }
-
-func (Refine) Plan(loads []float64, home []int32, npes int) []int32 {
-	return charm.RefinePlacement(loads, home, npes)
-}
-
-// ByName maps the flag spellings used by cmd/experiments and cmd/soak to
-// strategies.
-func ByName(name string) (Strategy, error) {
-	switch name {
-	case "greedy":
-		return Greedy{}, nil
-	case "refine":
-		return Refine{}, nil
+func (Refine) Plan(loads []float64, oldHome []int32, npes int) []int32 {
+	home := append([]int32(nil), oldHome...)
+	perPE := make([]float64, npes)
+	byPE := make([][]int, npes)
+	total := 0.0
+	for i, h := range home {
+		perPE[h] += loads[i]
+		byPE[h] = append(byPE[h], i)
+		total += loads[i]
 	}
-	return nil, fmt.Errorf("lb: unknown strategy %q (want greedy or refine)", name)
+	avg := total / float64(npes)
+	threshold := avg * 1.05
+	for iter := 0; iter < len(loads); iter++ {
+		// Find the most overloaded PE above threshold.
+		src := -1
+		for p := 0; p < npes; p++ {
+			if perPE[p] > threshold && (src < 0 || perPE[p] > perPE[src]) {
+				src = p
+			}
+		}
+		if src < 0 {
+			break
+		}
+		// Find the least loaded PE.
+		dst := 0
+		for p := 1; p < npes; p++ {
+			if perPE[p] < perPE[dst] {
+				dst = p
+			}
+		}
+		// Move the largest element that does not overload dst, else the
+		// smallest element.
+		cand := -1
+		for _, idx := range byPE[src] {
+			if loads[idx] == 0 {
+				continue
+			}
+			if perPE[dst]+loads[idx] <= threshold {
+				if cand < 0 || loads[idx] > loads[cand] {
+					cand = idx
+				}
+			}
+		}
+		if cand < 0 {
+			for _, idx := range byPE[src] {
+				if loads[idx] > 0 && (cand < 0 || loads[idx] < loads[cand]) {
+					cand = idx
+				}
+			}
+		}
+		if cand < 0 || perPE[dst]+loads[cand] >= perPE[src] {
+			break // no improving move
+		}
+		perPE[src] -= loads[cand]
+		perPE[dst] += loads[cand]
+		home[cand] = int32(dst)
+		// update byPE
+		lst := byPE[src]
+		for k, idx := range lst {
+			if idx == cand {
+				byPE[src] = append(lst[:k], lst[k+1:]...)
+				break
+			}
+		}
+		byPE[dst] = append(byPE[dst], cand)
+	}
+	return home
 }

@@ -7,12 +7,13 @@ import (
 	"time"
 
 	"blueq/internal/torus"
+	"blueq/internal/transport"
 )
 
 func newTestClient(nodes, ctxs int) *Client {
 	tor := torus.MustNew(torus.ShapeForNodes(nodes))
 	net := torus.NewNetwork(tor, ctxs)
-	return NewClientOverNetwork(net, ctxs)
+	return NewClient(transport.OverNetwork(net), ctxs)
 }
 
 func TestSendImmediateDispatch(t *testing.T) {
