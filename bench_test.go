@@ -295,6 +295,7 @@ func BenchmarkTable1FFTNative(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			iters := b.N
 			eng.SetOnComplete(func(pe *converse.PE, iter int) {
 				if iter >= iters {
@@ -488,6 +489,7 @@ func BenchmarkNativeParallelMDStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	start := time.Now()
 	rep := sim.Run()

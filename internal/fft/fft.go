@@ -23,6 +23,9 @@ type Plan struct {
 
 	// Bluestein state (nil unless n has a prime factor > naiveLimit)
 	blu *bluestein
+	// scratch pools *[]complex128 of length n, the output of the
+	// mixed-radix recursion before it is copied back in place.
+	scratch sync.Pool
 }
 
 // naiveLimit is the largest prime factor transformed by direct DFT before
@@ -41,6 +44,10 @@ func NewPlan(n int) (*Plan, error) {
 		return p.(*Plan), nil
 	}
 	p := &Plan{n: n, tw: make([]complex128, n)}
+	p.scratch.New = func() any {
+		buf := make([]complex128, n)
+		return &buf
+	}
 	for t := 0; t < n; t++ {
 		s, c := math.Sincos(-2 * math.Pi * float64(t) / float64(n))
 		p.tw[t] = complex(c, s)
@@ -118,8 +125,10 @@ func (p *Plan) transform(x []complex128, inverse bool) {
 		p.blu.transform(x)
 		return
 	}
-	out := p.rec(x)
-	copy(x, out)
+	buf := p.scratch.Get().(*[]complex128)
+	p.rec(*buf, x, 1, p.n)
+	copy(x, *buf)
+	p.scratch.Put(buf)
 }
 
 func conjugate(x []complex128) {
@@ -128,58 +137,58 @@ func conjugate(x []complex128) {
 	}
 }
 
-// rec is the recursive mixed-radix decimation-in-time transform; it returns
-// a freshly allocated output (inputs of recursive calls are strided views
-// copied out, so allocation is unavoidable in this formulation and the
-// per-call slices are small).
-func (p *Plan) rec(x []complex128) []complex128 {
-	return recHelper(x, p.n, p.tw, p.n)
-}
-
-// recHelper transforms x of length n, with twiddles tw defined for root
-// length rootN (tw[t] = exp(-2πi t/rootN)); n must divide rootN.
-func recHelper(x []complex128, n int, tw []complex128, rootN int) []complex128 {
+// rec writes the DFT of the n points src[0], src[stride], …,
+// src[(n-1)·stride] into dst[:n]: mixed-radix decimation in time, smallest
+// prime factor first, reading the sub-sequences as strided views of src so
+// that nothing is copied or allocated. dst must not overlap src. The
+// twiddle of a length-n stage is tw[t·(N/n) mod N] for the plan length N.
+func (p *Plan) rec(dst, src []complex128, stride, n int) {
 	if n == 1 {
-		return []complex128{x[0]}
+		dst[0] = src[0]
+		return
 	}
+	rootN := p.n
+	step := rootN / n
 	r := smallestFactor(n)
 	if r == n {
 		// Prime length: direct DFT (small primes only; Bluestein handles
 		// large primes at the top level).
-		out := make([]complex128, n)
-		step := rootN / n
 		for k := 0; k < n; k++ {
 			var sum complex128
-			for j := 0; j < n; j++ {
-				sum += x[j] * tw[(j*k*step)%rootN]
+			for j, t := 0, 0; j < n; j++ {
+				sum += src[j*stride] * p.tw[t]
+				if t += k * step; t >= rootN {
+					t -= rootN
+				}
 			}
-			out[k] = sum
+			dst[k] = sum
 		}
-		return out
+		return
 	}
+	// Sub-transform j holds x[k·r+j], k < m, in dst[j·m : (j+1)·m].
 	m := n / r
-	// Decimate: sub[j][k] = x[k*r+j], transform each recursively.
-	subs := make([][]complex128, r)
-	buf := make([]complex128, n)
 	for j := 0; j < r; j++ {
-		sub := buf[j*m : (j+1)*m]
-		for k := 0; k < m; k++ {
-			sub[k] = x[k*r+j]
-		}
-		subs[j] = recHelper(sub, m, tw, rootN)
+		p.rec(dst[j*m:(j+1)*m], src[j*stride:], stride*r, m)
 	}
-	// Combine: X[k] = Σ_j tw[j*k] · Y_j[k mod m].
-	out := make([]complex128, n)
-	step := rootN / n
-	for k := 0; k < n; k++ {
-		var sum complex128
-		km := k % m
+	// Combine X[k] = Σ_j tw[j·k] · Y_j[k mod m]. The r outputs k ≡ km
+	// (mod m) read exactly the r inputs at j·m+km, so each butterfly goes
+	// through y and overwrites its own inputs.
+	var y [naiveLimit]complex128
+	for km := 0; km < m; km++ {
 		for j := 0; j < r; j++ {
-			sum += subs[j][km] * tw[(j*k*step)%rootN]
+			y[j] = dst[j*m+km]
 		}
-		out[k] = sum
+		for k := km; k < n; k += m {
+			var sum complex128
+			for j, t := 0, 0; j < r; j++ {
+				sum += y[j] * p.tw[t]
+				if t += k * step; t >= rootN {
+					t -= rootN
+				}
+			}
+			dst[k] = sum
+		}
 	}
-	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -191,6 +200,8 @@ type bluestein struct {
 	chirp []complex128
 	fb    []complex128 // forward transform of the chirp filter
 	plan  *Plan        // power-of-two plan of length m
+	// scratch pools *[]complex128 of length m for the convolution.
+	scratch sync.Pool
 }
 
 func newBluestein(n int) *bluestein {
@@ -199,6 +210,10 @@ func newBluestein(n int) *bluestein {
 		m <<= 1
 	}
 	b := &bluestein{n: n, m: m, chirp: make([]complex128, n)}
+	b.scratch.New = func() any {
+		buf := make([]complex128, m)
+		return &buf
+	}
 	for k := 0; k < n; k++ {
 		// exp(-iπ k²/n); reduce k² mod 2n to keep the argument accurate.
 		t := (int64(k) * int64(k)) % int64(2*n)
@@ -218,10 +233,12 @@ func newBluestein(n int) *bluestein {
 }
 
 func (b *bluestein) transform(x []complex128) {
-	fa := make([]complex128, b.m)
+	buf := b.scratch.Get().(*[]complex128)
+	fa := *buf
 	for k := 0; k < b.n; k++ {
 		fa[k] = x[k] * b.chirp[k]
 	}
+	clear(fa[b.n:])
 	b.plan.Forward(fa)
 	for i := range fa {
 		fa[i] *= b.fb[i]
@@ -230,6 +247,7 @@ func (b *bluestein) transform(x []complex128) {
 	for k := 0; k < b.n; k++ {
 		x[k] = fa[k] * b.chirp[k]
 	}
+	b.scratch.Put(buf)
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 package fft
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -161,6 +163,63 @@ func TestBluesteinUsedForLargePrimes(t *testing.T) {
 	p.Forward(x)
 	if e := maxErr(x, want); e > 1e-8 {
 		t.Fatalf("Bluestein error %g", e)
+	}
+}
+
+// Forward and Inverse run on pooled scratch: steady-state transforms
+// allocate nothing, on the mixed-radix path and on Bluestein's (127).
+func TestTransformsAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers under the race detector")
+	}
+	for _, n := range []int{16, 216, 1080, 127} {
+		p := MustPlan(n)
+		x := randVec(n, int64(n))
+		if a := testing.AllocsPerRun(20, func() {
+			p.Forward(x)
+			p.Inverse(x)
+		}); a != 0 {
+			t.Errorf("n=%d: %v allocations per Forward+Inverse, want 0", n, a)
+		}
+	}
+}
+
+// Goroutines transforming through one shared plan get exactly the result
+// of a serial run: the pooled scratch is never shared between calls.
+func TestSharedPlanConcurrent(t *testing.T) {
+	for _, n := range []int{216, 127} {
+		p := MustPlan(n)
+		const workers, rounds = 8, 20
+		want := make([][]complex128, workers)
+		for w := range want {
+			want[w] = randVec(n, int64(w))
+			p.Forward(want[w])
+		}
+		var wg sync.WaitGroup
+		errs := make(chan string, workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				in := randVec(n, int64(w))
+				x := make([]complex128, n)
+				for r := 0; r < rounds; r++ {
+					copy(x, in)
+					p.Forward(x)
+					for i := range x {
+						if x[i] != want[w][i] {
+							errs <- fmt.Sprintf("n=%d worker %d round %d: bin %d = %v, serial %v", n, w, r, i, x[i], want[w][i])
+							return
+						}
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Error(e)
+		}
 	}
 }
 

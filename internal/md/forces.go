@@ -232,12 +232,10 @@ func computeNonbondedScalar(s *System, p NonbondedParams, cl *CellList, tab *erf
 	}
 	beta := p.EwaldBeta
 	cl.ForEachPair(func(i, j int) {
-		if s.IsExcluded(i, j) {
-			return
-		}
 		d := s.Box.MinImage(s.Pos[i].Sub(s.Pos[j]))
 		r2 := d.Norm2()
-		if r2 >= cut2 || r2 == 0 {
+		// Most pairs fail the cutoff: test it before the exclusion search.
+		if r2 >= cut2 || r2 == 0 || s.IsExcluded(i, j) {
 			return
 		}
 		out.Pairs++
@@ -353,12 +351,10 @@ func computeNonbondedQPX(s *System, p NonbondedParams, cl *CellList, tab *erfcTa
 	}
 
 	cl.ForEachPair(func(i, j int) {
-		if s.IsExcluded(i, j) {
-			return
-		}
 		d := s.Box.MinImage(s.Pos[i].Sub(s.Pos[j]))
 		r2 := d.Norm2()
-		if r2 >= cut2 || r2 == 0 {
+		// Most pairs fail the cutoff: test it before the exclusion search.
+		if r2 >= cut2 || r2 == 0 || s.IsExcluded(i, j) {
 			return
 		}
 		out.Pairs++

@@ -1,6 +1,7 @@
 package mdsim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -52,6 +53,79 @@ func TestPrimeMatchesSerialCutoff(t *testing.T) {
 		if d := pf[i].Sub(serial.F[i]).Norm(); d > 1e-9*(1+serial.F[i].Norm()) {
 			t.Fatalf("atom %d: parallel %v vs serial %v", i, pf[i], serial.F[i])
 		}
+	}
+}
+
+// Prime forces and energies match the serial force field for every patch
+// grid, from one patch (no neighbours) through the aliased 2- and 3-wide
+// grids, where a neighbour sits on both sides, to 4³. PME is on, and the
+// water box is shifted so that molecules straddle the periodic faces: this
+// pins the ±L minimum image, the cutoff pruning of the neighbour cache and
+// the reciprocal-force return.
+func TestPrimeMatchesSerialAcrossPatchGrids(t *testing.T) {
+	const beta = 0.8
+	nb := md.NonbondedParams{Cutoff: 4, SwitchDist: 3.2, EwaldBeta: beta}
+	pmeCfg := pme.Config{Grid: [3]int{16, 16, 16}, Order: 4, Beta: beta}
+	straddling := func() *md.System {
+		sys := testSystem(216, 8)
+		// Lattice sites sit half a spacing in from the faces; move them
+		// onto the faces.
+		shift := 0.45 * sys.Box.L[0] / 6
+		for i, p := range sys.Pos {
+			sys.Pos[i] = sys.Box.Wrap(p.Add(md.Vec3{shift, shift, shift}))
+		}
+		return sys
+	}
+	sys := straddling()
+	if sys.Box.L[0] < 4*nb.Cutoff {
+		t.Fatalf("box %g too small for 4 patches of cutoff %g", sys.Box.L[0], nb.Cutoff)
+	}
+	crossing := 0
+	for _, b := range sys.Bonds {
+		if sys.Pos[b.I].Sub(sys.Pos[b.J]).Norm() > sys.Box.L[0]/2 {
+			crossing++
+		}
+	}
+	if crossing == 0 {
+		t.Fatal("no bond crosses a periodic face")
+	}
+	ff, err := pme.NewForceField(nb, pmeCfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := md.NewForces(sys.N())
+	ff.Compute(sys, serial)
+
+	for _, g := range [][3]int{{1, 1, 1}, {2, 2, 2}, {3, 3, 3}, {4, 4, 4}} {
+		g := g
+		t.Run(fmt.Sprintf("%dx%dx%d", g[0], g[1], g[2]), func(t *testing.T) {
+			sim, err := New(Config{
+				System: straddling(), Nonbonded: nb, DT: 1e-4, Steps: 0, PatchGrid: g,
+				PME: &PMEConfig{Grid: pmeCfg.Grid, Order: pmeCfg.Order, Beta: beta, Every: 1,
+					Transport: fft3d.M2M, ExchangeM2M: true},
+				Runtime: smallRuntime(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := sim.Run()
+			rel := func(a, b float64) float64 { return math.Abs(a-b) / math.Abs(b) }
+			if r := rel(rep.LJEnergy, serial.LJEnergy); r > 1e-10 {
+				t.Errorf("LJ %.15g vs serial %.15g (rel %g)", rep.LJEnergy, serial.LJEnergy, r)
+			}
+			if r := rel(rep.ElecEnergy, serial.ElecEnergy); r > 1e-10 {
+				t.Errorf("elec %.15g vs serial %.15g (rel %g)", rep.ElecEnergy, serial.ElecEnergy, r)
+			}
+			if math.Abs(rep.BondEnergy-serial.BondEnergy) > 1e-9 || math.Abs(rep.AngleEnergy-serial.AngleEnergy) > 1e-9 {
+				t.Errorf("bonded %g/%g vs serial %g/%g", rep.BondEnergy, rep.AngleEnergy, serial.BondEnergy, serial.AngleEnergy)
+			}
+			pf := sim.ForcesByAtom()
+			for i := range pf {
+				if d := pf[i].Sub(serial.F[i]).Norm(); d > 1e-9*(1+serial.F[i].Norm()) {
+					t.Fatalf("atom %d: parallel %v vs serial %v", i, pf[i], serial.F[i])
+				}
+			}
+		})
 	}
 }
 
@@ -276,6 +350,10 @@ func TestConfigValidation(t *testing.T) {
 	bad.PME = &PMEConfig{Grid: [3]int{16, 16, 16}, Order: 4, Beta: 0.7, Every: 4}
 	if _, err := New(bad); err == nil {
 		t.Fatal("mismatched beta accepted")
+	}
+	bad.PME = &PMEConfig{Grid: [3]int{16, 16, 16}, Order: 13, Beta: 0.5, Every: 4}
+	if _, err := New(bad); err == nil {
+		t.Fatal("PME order 13 accepted")
 	}
 }
 

@@ -54,6 +54,11 @@ type patch struct {
 	nbDone     bool
 	pmePending bool
 	primed     bool
+
+	// bonded terms already evaluated this evaluation, by index into
+	// System.Bonds/Angles/Dihedrals; cleared, not reallocated, per
+	// evaluation
+	processedBonds, processedAngles, processedDihedrals map[int32]bool
 }
 
 // declarePatches builds the patch array and its entries.
@@ -67,9 +72,6 @@ func (s *Simulation) declarePatches() {
 	})
 	s.eExchange = s.patchArr.Entry(func(pe *converse.PE, el charm.Element, _ int, payload any) {
 		el.(*patch).recvExchange(pe, payload.(*exchangeMsg))
-	})
-	s.ePatchPME = s.patchArr.Entry(func(pe *converse.PE, el charm.Element, _ int, payload any) {
-		el.(*patch).recipReady(pe, payload.([]md.Vec3))
 	})
 }
 
@@ -234,7 +236,15 @@ func (p *patch) maybeCompute(pe *converse.PE) {
 	s := p.sim
 	// Index own atoms; drop cached entries that are now owned here (their
 	// coordinates came both from the migration and the old owner's list).
-	p.ownSet = make(map[int32]int, len(p.atoms))
+	if p.ownSet == nil {
+		// Made on first use rather than in newPatch, which mdsim.New
+		// runs for every patch.
+		p.ownSet = make(map[int32]int, len(p.atoms))
+		p.processedBonds = make(map[int32]bool)
+		p.processedAngles = make(map[int32]bool)
+		p.processedDihedrals = make(map[int32]bool)
+	}
+	clear(p.ownSet)
 	for i, a := range p.atoms {
 		p.ownSet[a.id] = i
 	}
@@ -289,13 +299,12 @@ func (p *patch) computeForces(pe *converse.PE) {
 	}
 	var elj, eel, ebond, eangle, edihedral float64
 
+	half := sys.Box.L.Scale(0.5)
 	pair := func(ai int, aID int32, apos md.Vec3, bID int32, bpos md.Vec3, bOwn int) {
-		if sys.IsExcluded(int(aID), int(bID)) {
-			return
-		}
-		d := sys.Box.MinImage(apos.Sub(bpos))
+		d := wrappedMinImage(apos.Sub(bpos), sys.Box.L, half)
 		r2 := d.Norm2()
-		if r2 >= cut2 || r2 == 0 {
+		// Most pairs fail the cutoff: test it before the exclusion search.
+		if r2 >= cut2 || r2 == 0 || sys.IsExcluded(int(aID), int(bID)) {
 			return
 		}
 		i, j := int(aID), int(bID)
@@ -333,13 +342,14 @@ func (p *patch) computeForces(pe *converse.PE) {
 		}
 	}
 
+	near := p.cache[:p.partitionNear(nb.Cutoff)]
 	for ai := range p.atoms {
 		a := &p.atoms[ai]
 		for bi := ai + 1; bi < len(p.atoms); bi++ {
 			b := &p.atoms[bi]
 			pair(ai, a.id, a.pos, b.id, b.pos, bi)
 		}
-		for _, c := range p.cache {
+		for _, c := range near {
 			pair(ai, a.id, a.pos, c.id, c.pos, -1)
 		}
 	}
@@ -347,14 +357,14 @@ func (p *patch) computeForces(pe *converse.PE) {
 	// Bonded terms: computed by every patch owning an endpoint, forces
 	// accumulated only for owned atoms; energies counted once by the
 	// canonical owner (bond: I; angle: the centre J).
-	processedBonds := map[int32]bool{}
-	processedAngles := map[int32]bool{}
+	clear(p.processedBonds)
+	clear(p.processedAngles)
 	for _, a := range p.atoms {
 		for _, bIdx := range s.bondsOf[a.id] {
-			if processedBonds[bIdx] {
+			if p.processedBonds[bIdx] {
 				continue
 			}
-			processedBonds[bIdx] = true
+			p.processedBonds[bIdx] = true
 			b := sys.Bonds[bIdx]
 			pi, okI := p.lookup(int32(b.I))
 			pj, okJ := p.lookup(int32(b.J))
@@ -379,10 +389,10 @@ func (p *patch) computeForces(pe *converse.PE) {
 			}
 		}
 		for _, aIdx := range s.anglesOf[a.id] {
-			if processedAngles[aIdx] {
+			if p.processedAngles[aIdx] {
 				continue
 			}
-			processedAngles[aIdx] = true
+			p.processedAngles[aIdx] = true
 			an := sys.Angles[aIdx]
 			pi, okI := p.lookup(int32(an.I))
 			pj, okJ := p.lookup(int32(an.J))
@@ -421,13 +431,13 @@ func (p *patch) computeForces(pe *converse.PE) {
 	}
 
 	// Torsions: same ownership rule; energy counted by the owner of J.
-	processedDihedrals := map[int32]bool{}
+	clear(p.processedDihedrals)
 	for _, a := range p.atoms {
 		for _, dIdx := range s.dihedralsOf[a.id] {
-			if processedDihedrals[dIdx] {
+			if p.processedDihedrals[dIdx] {
 				continue
 			}
-			processedDihedrals[dIdx] = true
+			p.processedDihedrals[dIdx] = true
 			d := sys.Dihedrals[dIdx]
 			pi, okI := p.lookup(int32(d.I))
 			pj, okJ := p.lookup(int32(d.J))
@@ -498,15 +508,6 @@ func (p *patch) computeForces(pe *converse.PE) {
 	s.emu.Unlock()
 }
 
-// recipReady delivers the per-atom reciprocal forces (ordered like
-// p.atoms at stage time).
-func (p *patch) recipReady(pe *converse.PE, forces []md.Vec3) {
-	for i := range p.atoms {
-		p.atoms[i].recipF = forces[i]
-	}
-	p.finishEval(pe)
-}
-
 // finishEval closes the evaluation: add reciprocal forces, second
 // half-kick, store forces, and report to the driver.
 func (p *patch) finishEval(pe *converse.PE) {
@@ -547,6 +548,58 @@ func (p *patch) drainPending(pe *converse.PE) {
 		}
 	}
 	p.pending = append(p.pending, rest...)
+}
+
+// partitionNear moves the cache entries that lie within cutoff of the
+// patch box [lo, hi] to the front of p.cache, in place, and returns their
+// count: only they can pair with an atom this patch owns. Distances to the
+// box are measured on the periodic ring. The cutoff is padded so that
+// rounding at patch faces, where an owned atom may sit an ulp outside
+// [lo, hi], can never drop an in-cutoff pair.
+func (p *patch) partitionNear(cutoff float64) int {
+	l := p.sim.cfg.System.Box.L
+	reach := cutoff + 1e-9
+	reach2 := reach * reach
+	n := 0
+	for i, c := range p.cache {
+		var g2 float64
+		for k := 0; k < 3; k++ {
+			g := ringGap(c.pos[k], p.lo[k], p.hi[k], l[k])
+			g2 += g * g
+		}
+		if g2 < reach2 {
+			p.cache[n], p.cache[i] = p.cache[i], p.cache[n]
+			n++
+		}
+	}
+	return n
+}
+
+// ringGap is the distance from x to the interval [lo, hi] on a ring of
+// circumference l; x, lo and hi lie in [0, l].
+func ringGap(x, lo, hi, l float64) float64 {
+	switch {
+	case x < lo:
+		return math.Min(lo-x, x+l-hi)
+	case x > hi:
+		return math.Min(x-hi, l-x+lo)
+	}
+	return 0
+}
+
+// wrappedMinImage is Box.MinImage for the difference of two positions
+// wrapped into [0, L] (Box.Wrap, which every mdsim position goes through):
+// each component lies within one box length of zero, so a single ±L shift
+// replaces the division and rounding.
+func wrappedMinImage(d, l, half md.Vec3) md.Vec3 {
+	for k := 0; k < 3; k++ {
+		if d[k] >= half[k] {
+			d[k] -= l[k]
+		} else if d[k] <= -half[k] {
+			d[k] += l[k]
+		}
+	}
+	return d
 }
 
 func ljSwitchLocal(r2, ron2, roff2 float64) (sw, dswdr2 float64) {

@@ -31,11 +31,14 @@ type recipBackMsg struct {
 	values    []float64
 }
 
-// forceRec maps one staged grid contribution back to an atom force term.
-type forceRec struct {
-	patch      *patch
-	atomIdx    int32
-	gx, gy, gz float64 // derivative weights × q × K/L, per axis
+// gridPoint is one B-spline contribution of a charged atom to the PME
+// charge grid.
+type gridPoint struct {
+	atom int     // index in patch.atoms
+	dst  int     // PE owning the pencil of the grid column
+	idx  int32   // offset in dst's pencil block
+	w    float64 // q·wx·wy·wz: the charge spread to idx
+	g    md.Vec3 // q·∇(wx·wy·wz)·K/L: the atom's force is -φ(idx)·g
 }
 
 // coordinator is the per-PE PME aggregation element.
@@ -50,8 +53,6 @@ type coordinator struct {
 	// sender side
 	idxStage [][]int32
 	valStage [][]float64
-	recs     [][]forceRec // per pencil PE, aligned with staged entries
-	forces   map[*patch][]md.Vec3
 	replies  int
 
 	// pencil side
@@ -120,33 +121,21 @@ func (s *Simulation) coord(pe *converse.PE) *coordinator {
 	return s.coordGrp.Local(pe).(*coordinator)
 }
 
-// stagePatch spreads the charges of one patch into the per-destination
-// staging buffers. Called from patch entries on the same PE (serialized by
-// the scheduler). When every local patch has staged, the charge messages
-// go out to all pencil owners.
-func (c *coordinator) stagePatch(pe *converse.PE, p *patch) {
-	s := c.sim
+// eachGridPoint calls fn for every grid contribution of p's charged atoms
+// in (atom, ia, ib, ic) order; when only >= 0 it skips the grid columns
+// owned by other pencils. Charge staging and force return both walk this
+// order, so the potentials a pencil returns line up with the points staged
+// for it.
+func (s *Simulation) eachGridPoint(p *patch, only int, fn func(gridPoint)) {
 	cfg := s.cfg.PME
 	eng := s.eng
 	sys := s.cfg.System
-	npes := s.rt.NumPEs()
-	if c.idxStage == nil {
-		c.idxStage = make([][]int32, npes)
-		c.valStage = make([][]float64, npes)
-		c.recs = make([][]forceRec, npes)
-		c.forces = make(map[*patch][]md.Vec3)
-	}
-	c.forces[p] = make([]md.Vec3, len(p.atoms))
-	c.pendingPatches = append(c.pendingPatches, p)
-
 	order := cfg.Order
 	k1, k2, k3 := cfg.Grid[0], cfg.Grid[1], cfg.Grid[2]
-	wx := make([]float64, order)
-	wy := make([]float64, order)
-	wz := make([]float64, order)
-	dwx := make([]float64, order)
-	dwy := make([]float64, order)
-	dwz := make([]float64, order)
+	sx := float64(k1) / sys.Box.L[0]
+	sy := float64(k2) / sys.Box.L[1]
+	sz := float64(k3) / sys.Box.L[2]
+	var wx, wy, wz, dwx, dwy, dwz [pme.MaxOrder]float64
 	for ai := range p.atoms {
 		a := &p.atoms[ai]
 		qi := sys.Charge[a.id]
@@ -157,34 +146,56 @@ func (c *coordinator) stagePatch(pe *converse.PE, p *patch) {
 		u1 := pos[0] / sys.Box.L[0] * float64(k1)
 		u2 := pos[1] / sys.Box.L[1] * float64(k2)
 		u3 := pos[2] / sys.Box.L[2] * float64(k3)
-		k0x := pme.BsplineWeights(order, u1, wx, dwx)
-		k0y := pme.BsplineWeights(order, u2, wy, dwy)
-		k0z := pme.BsplineWeights(order, u3, wz, dwz)
-		sx := float64(k1) / sys.Box.L[0]
-		sy := float64(k2) / sys.Box.L[1]
-		sz := float64(k3) / sys.Box.L[2]
+		k0x := pme.BsplineWeights(order, u1, wx[:order], dwx[:order])
+		k0y := pme.BsplineWeights(order, u2, wy[:order], dwy[:order])
+		k0z := pme.BsplineWeights(order, u3, wz[:order], dwz[:order])
+		pt := gridPoint{atom: ai}
 		for ia := 0; ia < order; ia++ {
 			gx := modInt(k0x+ia, k1)
 			for ib := 0; ib < order; ib++ {
 				gy := modInt(k0y+ib, k2)
-				dst := eng.ZOwnerOf(gx, gy)
-				xb, yb := eng.ZSpans(dst)
+				pt.dst = eng.ZOwnerOf(gx, gy)
+				if only >= 0 && pt.dst != only {
+					continue
+				}
+				xb, yb := eng.ZSpans(pt.dst)
 				base := ((gx-xb.Lo)*yb.Len() + (gy - yb.Lo)) * k3
 				for ic := 0; ic < order; ic++ {
 					gz := modInt(k0z+ic, k3)
-					c.idxStage[dst] = append(c.idxStage[dst], int32(base+gz))
-					c.valStage[dst] = append(c.valStage[dst], qi*wx[ia]*wy[ib]*wz[ic])
-					c.recs[dst] = append(c.recs[dst], forceRec{
-						patch:   p,
-						atomIdx: int32(ai),
-						gx:      qi * dwx[ia] * wy[ib] * wz[ic] * sx,
-						gy:      qi * wx[ia] * dwy[ib] * wz[ic] * sy,
-						gz:      qi * wx[ia] * wy[ib] * dwz[ic] * sz,
-					})
+					pt.idx = int32(base + gz)
+					pt.w = qi * wx[ia] * wy[ib] * wz[ic]
+					pt.g = md.Vec3{
+						qi * dwx[ia] * wy[ib] * wz[ic] * sx,
+						qi * wx[ia] * dwy[ib] * wz[ic] * sy,
+						qi * wx[ia] * wy[ib] * dwz[ic] * sz,
+					}
+					fn(pt)
 				}
 			}
 		}
 	}
+}
+
+// stagePatch spreads the charges of one patch into the per-destination
+// staging buffers. Called from patch entries on the same PE (serialized by
+// the scheduler). When every local patch has staged, the charge messages
+// go out to all pencil owners.
+func (c *coordinator) stagePatch(pe *converse.PE, p *patch) {
+	s := c.sim
+	npes := s.rt.NumPEs()
+	if c.idxStage == nil {
+		c.idxStage = make([][]int32, npes)
+		c.valStage = make([][]float64, npes)
+	}
+	c.pendingPatches = append(c.pendingPatches, p)
+	// recipBack accumulates the returned forces here.
+	for i := range p.atoms {
+		p.atoms[i].recipF = md.Vec3{}
+	}
+	s.eachGridPoint(p, -1, func(pt gridPoint) {
+		c.idxStage[pt.dst] = append(c.idxStage[pt.dst], pt.idx)
+		c.valStage[pt.dst] = append(c.valStage[pt.dst], pt.w)
+	})
 
 	c.stagedPatches++
 	if c.stagedPatches < c.patchesHere {
@@ -316,19 +327,25 @@ func (c *coordinator) takeReply(dst int) *recipBackMsg {
 	return msg
 }
 
-// recipBack folds returned potentials into per-atom reciprocal forces;
-// when every pencil has replied, the pending patches complete.
+// recipBack folds returned potentials into per-atom reciprocal forces,
+// walking the staged patches' grid points again to pair each potential
+// with its atom; when every pencil has replied, the pending patches
+// complete.
 func (c *coordinator) recipBack(pe *converse.PE, m *recipBackMsg) {
-	recs := c.recs[m.srcPencil]
-	if len(recs) != len(m.values) {
-		panic(fmt.Sprintf("mdsim: reply length %d != staged %d", len(m.values), len(recs)))
+	k := 0
+	for _, p := range c.pendingPatches {
+		c.sim.eachGridPoint(p, m.srcPencil, func(pt gridPoint) {
+			if k < len(m.values) {
+				phi := m.values[k]
+				a := &p.atoms[pt.atom]
+				a.recipF = a.recipF.Sub(md.Vec3{pt.g[0] * phi, pt.g[1] * phi, pt.g[2] * phi})
+			}
+			k++
+		})
 	}
-	for k, rec := range recs {
-		phi := m.values[k]
-		f := c.forces[rec.patch]
-		f[rec.atomIdx] = f[rec.atomIdx].Sub(md.Vec3{rec.gx * phi, rec.gy * phi, rec.gz * phi})
+	if k != len(m.values) {
+		panic(fmt.Sprintf("mdsim: reply length %d != staged %d", len(m.values), k))
 	}
-	c.recs[m.srcPencil] = nil
 	c.replies++
 	if c.replies < c.sim.rt.NumPEs() {
 		return
@@ -337,9 +354,7 @@ func (c *coordinator) recipBack(pe *converse.PE, m *recipBackMsg) {
 	pending := c.pendingPatches
 	c.pendingPatches = nil
 	for _, p := range pending {
-		forces := c.forces[p]
-		delete(c.forces, p)
-		p.recipReady(pe, forces)
+		p.finishEval(pe)
 	}
 }
 

@@ -49,6 +49,10 @@ type PMEConfig struct {
 }
 
 // Config describes a parallel MD run.
+//
+// The patch nonbonded kernel is scalar and evaluates erfc directly: of
+// Nonbonded it reads Cutoff, SwitchDist and EwaldBeta, and ignores UseQPX
+// and TableBins, which select md.ComputeNonbonded's serial variants.
 type Config struct {
 	System    *md.System
 	Nonbonded md.NonbondedParams
@@ -93,8 +97,8 @@ type Simulation struct {
 	// Optimized-PME persistent burst handles (nil on the p2p path).
 	hCharges, hReply *m2m.Handle
 
-	ePatchStep, eExchange, ePatchPME int
-	eCharges, eRecipBack, eStepDone  int
+	ePatchStep, eExchange           int
+	eCharges, eRecipBack, eStepDone int
 
 	selfEnergy float64
 
@@ -144,6 +148,9 @@ func New(cfg Config) (*Simulation, error) {
 	if cfg.PME != nil {
 		if cfg.PME.Every < 1 {
 			cfg.PME.Every = 1
+		}
+		if cfg.PME.Order < 2 || cfg.PME.Order > pme.MaxOrder {
+			return nil, fmt.Errorf("mdsim: PME order %d outside [2, %d]", cfg.PME.Order, pme.MaxOrder)
 		}
 		if cfg.PME.Beta != cfg.Nonbonded.EwaldBeta {
 			return nil, fmt.Errorf("mdsim: PME beta %g != nonbonded EwaldBeta %g", cfg.PME.Beta, cfg.Nonbonded.EwaldBeta)

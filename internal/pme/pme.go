@@ -30,13 +30,16 @@ type Config struct {
 	Beta  float64 // Ewald splitting parameter
 }
 
+// MaxOrder is the highest supported B-spline interpolation order.
+const MaxOrder = 12
+
 func (c Config) validate() error {
 	for d := 0; d < 3; d++ {
 		if c.Grid[d] < c.Order {
 			return fmt.Errorf("pme: grid dim %d (%d) smaller than order %d", d, c.Grid[d], c.Order)
 		}
 	}
-	if c.Order < 2 || c.Order > 12 {
+	if c.Order < 2 || c.Order > MaxOrder {
 		return fmt.Errorf("pme: unsupported order %d", c.Order)
 	}
 	if c.Beta <= 0 {
