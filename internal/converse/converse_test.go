@@ -1,6 +1,7 @@
 package converse
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -27,6 +28,28 @@ func runMachine(t *testing.T, cfg Config, setup func(m *Machine), initPE func(pe
 		t.Fatal("machine did not shut down (deadlock?)")
 	}
 	return m
+}
+
+// checkGoroutines records the goroutine count before the test's machine
+// starts and fails the test unless the count returns to that baseline
+// once the test has returned — after Machine.Wait and the transport's
+// Close. A timer, delivery goroutine or scheduler still running then has
+// leaked. Call it first, so its cleanup runs after every other one.
+func checkGoroutines(t *testing.T) {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 64<<10)
+				buf = buf[:runtime.Stack(buf, true)]
+				t.Errorf("%d goroutines running, baseline %d:\n%s", runtime.NumGoroutine(), base, buf)
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
 }
 
 func TestConfigNormalize(t *testing.T) {

@@ -4,13 +4,12 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"blueq/internal/transport"
 )
 
 // Large inter-node []byte payloads take the rendezvous path: header,
 // RDMA pull, ack — and the receiver gets its own copy of the data.
 func TestRendezvousByteSlice(t *testing.T) {
+	checkGoroutines(t)
 	payload := make([]byte, 64*1024)
 	for i := range payload {
 		payload[i] = byte(i * 7)
@@ -63,6 +62,7 @@ func TestRendezvousByteSlice(t *testing.T) {
 // Non-byte payloads above the threshold still go through the protocol
 // (reference semantics, no copy).
 func TestRendezvousGenericPayload(t *testing.T) {
+	checkGoroutines(t)
 	data := make([]complex128, 8192) // 128 KB modelled
 	data[100] = 3 + 4i
 	var ok atomic.Bool
@@ -93,6 +93,7 @@ func TestRendezvousGenericPayload(t *testing.T) {
 // Intra-node messages never use rendezvous regardless of size: they are
 // pointer exchanges.
 func TestRendezvousNotUsedIntraNode(t *testing.T) {
+	checkGoroutines(t)
 	var h int
 	m := runMachine(t, Config{Nodes: 1, WorkersPerNode: 2, Mode: ModeSMP},
 		func(m *Machine) {
@@ -110,6 +111,7 @@ func TestRendezvousNotUsedIntraNode(t *testing.T) {
 
 // Small inter-node messages stay on the eager path.
 func TestRendezvousThresholdRespected(t *testing.T) {
+	checkGoroutines(t)
 	var h int
 	m := runMachine(t, Config{Nodes: 2, WorkersPerNode: 1, Mode: ModeSMP},
 		func(m *Machine) {
@@ -125,62 +127,9 @@ func TestRendezvousThresholdRespected(t *testing.T) {
 	}
 }
 
-// A transfer whose headers are all lost is abandoned after maxRzvRetries
-// and reported through OnRzvAbandon with the destination and byte count —
-// silent loss must be observable.
-func TestRendezvousAbandonReported(t *testing.T) {
-	const bytes = 64 * 1024
-	tr, err := transport.New("faulty:seed=3,drop=1", 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gotDst, gotBytes atomic.Int64
-	var reported atomic.Bool
-	done := make(chan struct{})
-	var h int
-	m := runMachine(t, Config{
-		Nodes: 2, WorkersPerNode: 1, Mode: ModeSMP,
-		Transport:         tr,
-		RendezvousTimeout: 200 * time.Microsecond,
-		OnRzvAbandon: func(dstRank, b int) {
-			gotDst.Store(int64(dstRank))
-			gotBytes.Store(int64(b))
-			if reported.CompareAndSwap(false, true) {
-				close(done)
-			}
-		},
-	},
-		func(m *Machine) {
-			h = m.RegisterHandler(func(pe *PE, msg *Message) {
-				t.Error("payload delivered over a transport that drops everything")
-			})
-			go func() {
-				select {
-				case <-done:
-				case <-time.After(20 * time.Second):
-					t.Error("transfer never abandoned")
-				}
-				m.Shutdown()
-			}()
-		},
-		func(pe *PE) {
-			if pe.Id() == 0 {
-				_ = pe.Send(1, &Message{Handler: h, Bytes: bytes, Payload: make([]byte, bytes)})
-			}
-		})
-	if !reported.Load() {
-		t.Fatal("OnRzvAbandon never invoked")
-	}
-	if gotDst.Load() != 1 || gotBytes.Load() != bytes {
-		t.Fatalf("abandon reported (dst=%d, bytes=%d), want (1, %d)", gotDst.Load(), gotBytes.Load(), bytes)
-	}
-	if n := m.RendezvousStats().Abandoned.Load(); n != 1 {
-		t.Fatalf("Abandoned = %d, want 1", n)
-	}
-}
-
 // Many concurrent rendezvous transfers complete exactly once each.
 func TestRendezvousConcurrent(t *testing.T) {
+	checkGoroutines(t)
 	const msgs = 50
 	var count atomic.Int64
 	var h int

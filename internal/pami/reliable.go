@@ -58,7 +58,8 @@ var (
 // consecutive-retry streak reaches a multiple of RetryStreakThreshold.
 // Called outside the reliability lock, possibly from a timer goroutine;
 // it must not block and must not call back into KickRetransmit
-// synchronously.
+// synchronously: it runs inside a retransmission round, and a kick waits
+// for the channel's round in flight to end.
 type RetryStreakObserver func(src, dst, streak int)
 
 // relPacket wraps an eager active message with its channel sequence number.
@@ -79,6 +80,8 @@ type relSendState struct {
 	unacked  map[uint64]torus.Packet
 	credited map[uint64]struct{} // seqs holding a flow-control credit
 	timer    *time.Timer
+	timerGen uint64 // generation of timer; a fired callback from an older one is stale
+	inRound  bool   // a retransmission round is injecting outside the lock
 	backoff  time.Duration
 	streak   int // consecutive retry rounds since the last ack
 }
@@ -109,18 +112,19 @@ type reliator struct {
 	rcap      int           // reorder buffer cap per channel
 	streakThr int           // RetryStreakThreshold at construction
 
-	mu    sync.Mutex
-	send  map[int]*relSendState
-	recv  map[int]*relRecvState
-	stats ReliabilityStats
-	down  bool // Shutdown called: stop arming timers
+	mu        sync.Mutex
+	roundDone sync.Cond // on mu; broadcast when a retransmission round ends
+	send      map[int]*relSendState
+	recv      map[int]*relRecvState
+	stats     ReliabilityStats
+	down      bool // Shutdown called: stop arming timers
 }
 
 func newReliator(n *Node, reorderCap int) *reliator {
 	if reorderCap <= 0 {
 		reorderCap = DefaultReorderCap
 	}
-	return &reliator{
+	r := &reliator{
 		node:      n,
 		base:      RetryBase,
 		max:       RetryMax,
@@ -129,6 +133,8 @@ func newReliator(n *Node, reorderCap int) *reliator {
 		send:      make(map[int]*relSendState),
 		recv:      make(map[int]*relRecvState),
 	}
+	r.roundDone.L = &r.mu
+	return r
 }
 
 // ReliabilityStats returns a snapshot of the node's reliability counters,
@@ -175,27 +181,45 @@ func (r *reliator) sendEager(dstNode, fifo, bytes int, am amPacket, credited boo
 	return r.node.ep.Inject(p)
 }
 
-// armLocked ensures a retransmit timer is pending for the channel.
+// armLocked ensures a retransmit timer is pending for the channel. While
+// a round is injecting, the round itself arms the next timer when it
+// finishes, so at most one round per channel is ever in flight.
 func (r *reliator) armLocked(st *relSendState, dstNode int) {
-	if st.timer != nil || r.down {
+	if st.timer != nil || st.inRound || r.down {
 		return
 	}
 	if st.backoff == 0 {
 		st.backoff = r.base
 	}
-	st.timer = time.AfterFunc(st.backoff, func() { r.retry(dstNode) })
+	st.timerGen++
+	gen := st.timerGen
+	st.timer = time.AfterFunc(st.backoff, func() { r.retry(dstNode, gen) })
 }
 
-// retry retransmits every unacknowledged packet on the channel, doubling
-// the backoff, until acks drain the channel.
-func (r *reliator) retry(dstNode int) {
+// retry is the timer callback: it runs one retransmission round unless
+// the timer was stopped or replaced while the callback waited for the
+// lock.
+func (r *reliator) retry(dstNode int, gen uint64) {
 	r.mu.Lock()
 	st := r.send[dstNode]
-	if st == nil || r.down {
+	if st == nil || st.timer == nil || st.timerGen != gen {
 		r.mu.Unlock()
 		return
 	}
 	st.timer = nil
+	r.roundLocked(st, dstNode)
+}
+
+// roundLocked retransmits every unacknowledged packet on the channel,
+// doubling the backoff, and arms the next timer only after the injects
+// return: a round that takes longer than the backoff (a slow transport,
+// the race detector) delays the next round instead of overlapping it.
+// Called with r.mu held; releases it.
+func (r *reliator) roundLocked(st *relSendState, dstNode int) {
+	if r.down || st.inRound {
+		r.mu.Unlock()
+		return
+	}
 	if len(st.unacked) == 0 {
 		st.backoff = 0
 		r.mu.Unlock()
@@ -221,7 +245,7 @@ func (r *reliator) retry(dstNode int) {
 			st.backoff = r.max
 		}
 	}
-	r.armLocked(st, dstNode)
+	st.inRound = true
 	r.mu.Unlock()
 	if obs.On() {
 		mRelRetry.Add(r.node.rank, int64(len(packets)))
@@ -241,6 +265,13 @@ func (r *reliator) retry(dstNode int) {
 	for _, p := range packets {
 		_ = r.node.ep.Inject(p)
 	}
+	r.mu.Lock()
+	st.inRound = false
+	r.roundDone.Broadcast()
+	if len(st.unacked) > 0 {
+		r.armLocked(st, dstNode)
+	}
+	r.mu.Unlock()
 }
 
 // onPacket runs on the receiving node for every relPacket arrival. It
@@ -413,21 +444,26 @@ func (r *reliator) kick(dstNode int) {
 		r.mu.Unlock()
 		return
 	}
+	// A round already injecting may have sent part of the window down the
+	// old route: let it finish, then retransmit the whole window now.
+	for st.inRound {
+		r.roundDone.Wait()
+	}
 	if st.timer != nil {
 		st.timer.Stop()
 		st.timer = nil
 	}
 	st.backoff = 0
-	r.mu.Unlock()
-	r.retry(dstNode)
+	r.roundLocked(st, dstNode)
 }
 
 // KickRetransmit immediately retransmits every unacknowledged packet to
 // the peer and resets the channel's backoff, as if the first retry timer
-// had just fired (no-op when the transport is reliable or the channel is
-// idle). Call it after the route to the peer changed — newly healed or
-// salted around a fault — so delivery resumes at once instead of after
-// the accumulated exponential backoff.
+// had just fired, once any round already in flight ends (no-op when the
+// transport is reliable or the channel is idle). Call it after the route
+// to the peer changed — newly healed or salted around a fault — so
+// delivery resumes at once instead of after the accumulated exponential
+// backoff.
 func (n *Node) KickRetransmit(dstNode int) {
 	if n.rel != nil {
 		n.rel.kick(dstNode)

@@ -2,9 +2,11 @@ package pami
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"blueq/internal/torus"
 	"blueq/internal/transport"
 )
 
@@ -133,5 +135,90 @@ func TestNodeShutdownStopsRetries(t *testing.T) {
 	r2 := c.Node(0).ReliabilityStats().Retries
 	if r2 != r1 {
 		t.Fatalf("retries continued after Shutdown: %d -> %d", r1, r2)
+	}
+}
+
+// slowTransport hands out a slowEndpoint for node 0 and the inner
+// transport's endpoints for every other node.
+type slowTransport struct {
+	transport.Transport
+	ep *slowEndpoint
+}
+
+func (s *slowTransport) Endpoint(rank int) transport.Endpoint {
+	if rank == 0 {
+		return s.ep
+	}
+	return s.Transport.Endpoint(rank)
+}
+
+// slowEndpoint blocks every inject of a dispatch-1 packet for delay once
+// armed, and records how many such injects were ever blocked at once.
+// A retransmission round injects its window one packet at a time, so
+// that peak is the peak number of rounds in flight.
+type slowEndpoint struct {
+	transport.Endpoint
+	delay          time.Duration
+	armed          atomic.Bool
+	inFlight, peak atomic.Int32
+}
+
+func (e *slowEndpoint) Inject(p torus.Packet) error {
+	if pl, ok := p.Payload.(relPacket); ok && pl.am.dispatch == 1 && e.armed.Load() {
+		n := e.inFlight.Add(1)
+		for {
+			old := e.peak.Load()
+			if n <= old || e.peak.CompareAndSwap(old, n) {
+				break
+			}
+		}
+		time.Sleep(e.delay)
+		e.inFlight.Add(-1)
+	}
+	return e.Endpoint.Inject(p)
+}
+
+// A retransmission round slower than RetryMax (the race detector, a
+// congested transport) must delay the next round, not overlap it: rounds
+// that each re-armed the timer before injecting piled up without bound.
+// Fresh sends landing mid-round must not arm a second timer either.
+func TestRetryRoundsNeverOverlap(t *testing.T) {
+	tightRetries(t)
+	inner, err := transport.New("faulty:seed=3,drop=1", 2, 1) // nothing is ever acked
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inner.Close()
+	ep := &slowEndpoint{Endpoint: inner.Endpoint(0), delay: 3 * RetryMax}
+	c := NewClient(&slowTransport{Transport: inner, ep: ep}, 1)
+	defer c.Node(1).Shutdown()
+	ctx := c.Node(0).Context(0)
+
+	// The window every round retransmits: three packets, each inject
+	// blocking 3×RetryMax once armed.
+	for i := 0; i < 3; i++ {
+		if err := ctx.SendImmediate(1, 0, 1, nil, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ep.armed.Store(true)
+	// Dispatch-2 sends pass straight through, arriving while rounds run.
+	for end := time.Now().Add(100 * time.Millisecond); time.Now().Before(end); {
+		if err := ctx.SendImmediate(1, 0, 2, nil, 8); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(RetryMax / 2)
+	}
+	c.Node(0).Shutdown()
+	if rs := c.Node(0).ReliabilityStats(); rs.Retries < 6 {
+		t.Fatalf("only %d packets retransmitted: fewer than two rounds ran", rs.Retries)
+	}
+	if peak := ep.peak.Load(); peak != 1 {
+		t.Fatalf("peak concurrent retransmission rounds = %d, want 1", peak)
+	}
+	// Let the round in flight at Shutdown finish before the transport
+	// closes under it.
+	for deadline := time.Now().Add(5 * time.Second); ep.inFlight.Load() > 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -64,8 +64,9 @@ type KillEvent struct {
 // Faulty wraps an inner transport with seeded fault injection: packets are
 // dropped, duplicated, and delayed according to FaultConfig. It reports
 // Reliable() == false, arming the PAMI reliability protocol (acks,
-// retransmission with backoff, in-order dedup delivery) and the Converse
-// rendezvous timeouts above it.
+// retransmission with backoff, in-order dedup delivery) above it — the
+// one loss-repair layer, which also carries Converse's rendezvous headers
+// and acks.
 type Faulty struct {
 	inner Transport
 	cfg   FaultConfig
